@@ -320,13 +320,35 @@ class TTreeIndex(Index):
     def range_scan(
         self, low: Key | None = None, high: Key | None = None
     ) -> Iterator[tuple[Key, EntityAddress]]:
-        """Items with ``low <= key <= high`` in key order (None = open end)."""
-        for key, value in self.items():
-            if low is not None and compare_keys(key, low) < 0:
-                continue
+        """Items with ``low <= key <= high`` in key order (None = open end).
+
+        A pruned in-order walk: it loads the nodes on the search paths to
+        the two bounds plus the nodes holding matches, O(log n + k) nodes
+        for k matching items rather than the whole tree.
+        """
+        yield from self._in_range(self._root, low, high)
+
+    def _in_range(
+        self, address: EntityAddress, low: Key | None, high: Key | None
+    ) -> Iterator[tuple[Key, EntityAddress]]:
+        """In-order walk of the subtree at ``address`` clipped to the bounds.
+
+        Equal keys may straddle node boundaries, so the left subtree is
+        entered while ``low`` is at most the node's min (non-strict), and
+        the right one whenever every item of the node passed ``high``'s
+        test, i.e. ``high`` is at least the node's max.
+        """
+        if address == NULL_ADDRESS:
+            return
+        node = self._load(address)
+        if low is None or compare_keys(low, node.min_key) <= 0:
+            yield from self._in_range(node.left, low, high)
+        for key, value in node.items:
             if high is not None and compare_keys(key, high) > 0:
-                break
-            yield key, value
+                return  # past the high bound: the right subtree is too
+            if low is None or compare_keys(key, low) >= 0:
+                yield key, value
+        yield from self._in_range(node.right, low, high)
 
     # -- insert internals -------------------------------------------------------------------
 

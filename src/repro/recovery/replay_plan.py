@@ -314,17 +314,18 @@ class CommandReplayPlanner:
                         )
                     )
         self._install_bases(streams)
+        # Index mirrors are refreshed once for the installed bases, then
+        # only where value records rewrote index bytes underneath them;
+        # re-executed commands update the live index objects directly.
+        db.reload_index_mirrors(index_segments)
         replayed = 0
         for command in batch:
             crash_point("replay.batch.before-command")
-            self._advance_to_barriers(streams, command.csn)
-            db.reload_index_mirrors(index_segments)
+            db.reload_index_mirrors(self._advance_to_barriers(streams, command.csn))
             self._execute(command)
             crash_point("replay.batch.command-executed")
             replayed += 1
-        for stream in streams:
-            self._apply_through(stream, len(stream.records))
-        db.reload_index_mirrors(index_segments)
+        db.reload_index_mirrors(self._advance_to_barriers(streams, None))
         return replayed
 
     def _build_stream(
@@ -371,9 +372,11 @@ class CommandReplayPlanner:
                 segment.install(stream.partition)
 
     def _advance_to_barriers(
-        self, streams: list[_PartitionStream], csn: int
-    ) -> None:
-        """Apply value records up to command ``csn``'s barriers.
+        self, streams: list[_PartitionStream], csn: int | None
+    ) -> set[int]:
+        """Apply value records up to command ``csn``'s barriers (to the
+        end of every stream when ``csn`` is None); returns the segment
+        ids of the index streams that applied at least one value record.
 
         A barrier with a *higher* csn stops the cursor without being
         consumed: that partition joined the relation after ``csn``
@@ -381,23 +384,23 @@ class CommandReplayPlanner:
         runs dry is fine too — its bin was reset by a checkpoint
         acknowledgement and re-execution regenerates the effects.
         """
+        touched: set[int] = set()
         for stream in streams:
             records = stream.records
             position = stream.position
             while position < len(records):
                 record = records[position]
-                if isinstance(record, CommandBarrier) and record.csn >= csn:
-                    if record.csn == csn:
-                        position += 1  # consume this command's own barrier
-                    break
+                if isinstance(record, CommandBarrier):
+                    if csn is not None and record.csn >= csn:
+                        if record.csn == csn:
+                            position += 1  # consume this command's own barrier
+                        break
+                elif stream.is_index:
+                    touched.add(stream.address.segment)
                 record.apply(stream.partition)
                 position += 1
             stream.position = position
-
-    def _apply_through(self, stream: _PartitionStream, end: int) -> None:
-        while stream.position < end:
-            stream.records[stream.position].apply(stream.partition)
-            stream.position += 1
+        return touched
 
     def _execute(self, command: TxnCommand) -> None:
         db = self.db

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DebitCreditWorkload:
     """Builds the bank schema and runs debit/credit transactions."""
 
+    #: Rows inserted per load transaction.
+    LOAD_BATCH_ROWS = 500
+
     def __init__(
         self,
         db: "Database",
@@ -74,19 +77,27 @@ class DebitCreditWorkload:
                 [("hid", "int"), ("aid", "int"), ("delta", "int")],
                 primary_key="hid",
             )
-        with db.transaction() as txn:
-            for bid in range(self.branches):
-                self._branch_addr[bid] = self.branch_rel.insert(
-                    txn, {"bid": bid, "balance": 0}
-                )
-            for tid in range(self.tellers):
-                self._teller_addr[tid] = self.teller_rel.insert(
-                    txn, {"tid": tid, "bid": tid % self.branches, "balance": 0}
-                )
-            for aid in range(self.accounts):
-                self._account_addr[aid] = self.account_rel.insert(
-                    txn, {"aid": aid, "bid": aid % self.branches, "balance": 1000}
-                )
+        branches = self.branches
+        rows = [
+            (self.branch_rel, self._branch_addr, bid, {"bid": bid, "balance": 0})
+            for bid in range(branches)
+        ]
+        rows += [
+            (self.teller_rel, self._teller_addr, tid,
+             {"tid": tid, "bid": tid % branches, "balance": 0})
+            for tid in range(self.tellers)
+        ]
+        rows += [
+            (self.account_rel, self._account_addr, aid,
+             {"aid": aid, "bid": aid % branches, "balance": 1000})
+            for aid in range(self.accounts)
+        ]
+        # One transaction's REDO must fit the Stable Log Buffer until it
+        # commits, so a large bank loads in bounded batches.
+        for start in range(0, len(rows), self.LOAD_BATCH_ROWS):
+            with db.transaction() as txn:
+                for relation, addresses, key, row in rows[start : start + self.LOAD_BATCH_ROWS]:
+                    addresses[key] = relation.insert(txn, row)
 
     # -- one transaction -------------------------------------------------------------
 

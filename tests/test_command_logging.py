@@ -8,11 +8,14 @@ command log, and every drift hazard (missing script, version bump,
 declared-set change) fails restart loudly instead of replaying wrong.
 """
 
+import collections
+
 import pytest
 
 from repro import Database, RecoveryMode, SystemConfig
 from repro.common.errors import ConfigurationError, RecoveryError
 from repro.engine import ThreadedEngine
+from repro.index import LinearHashIndex, TTreeIndex
 from repro.recovery.oracle import logical_digest
 from repro.sim.chaos import ChaosMonkey, chaos, registered_crash_points
 from repro.sim.faults import SimulatedCrash
@@ -260,6 +263,70 @@ class TestDigestIdentity:
         assert replay["batches"] == 4
         assert replay["commands_replayed"] == 14
         assert logical_digest(db) == expected
+
+
+# ---------------------------------------------------------------------------
+# replay: index mirrors refresh only when value records rewrite index bytes
+# ---------------------------------------------------------------------------
+
+
+def count_mirror_reloads(monkeypatch):
+    """Patch both index kinds to count mirror reloads per index segment."""
+    reloads = collections.Counter()
+    for cls in (TTreeIndex, LinearHashIndex):
+
+        def counting(self, original=cls._reload_mirror):
+            reloads[self.store.segment.segment_id] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "_reload_mirror", counting)
+    return reloads
+
+
+class TestMirrorRefresh:
+    def test_replay_reloads_each_mirror_at_most_once(self, monkeypatch):
+        db = Database(small_config(logging_mode="command"))
+        accounts = make_bank(db)
+        db.create_index("accounts_by_balance", "accounts", "balance")
+        run_transfers(db, 32)
+        expected = logical_digest(db)
+        db.crash()
+        reloads = count_mirror_reloads(monkeypatch)
+        db.restart(RecoveryMode.EAGER)
+        assert db.last_command_replay["commands_replayed"] == 32
+        assert all(count <= 1 for count in reloads.values()), reloads
+        assert logical_digest(db) == expected
+        assert total_balance(db, accounts) == ACCOUNTS * OPENING
+
+    @staticmethod
+    def _split_between_commands(mode):
+        """Two commands, a value-logged bulk insert that splits a bucket of
+        the relation's hash index, two more commands; crash and restart."""
+        db = Database(small_config(logging_mode=mode, adaptive_log_threshold=64))
+        try:
+            accounts = make_bank(db)
+            pk = db.index_object(db.catalog.index("accounts__pk"), None)
+            run_transfers(db, 2)
+            buckets = pk.bucket_count
+            with db.transaction() as txn:
+                for key in range(ACCOUNTS, 4 * ACCOUNTS):
+                    accounts.insert(txn, {"id": key, "balance": 0})
+            assert pk.bucket_count > buckets
+            run_transfers(db, 2)
+            expected = logical_digest(db)
+            db.crash()
+            db.restart(RecoveryMode.EAGER)
+            assert total_balance(db, accounts) == ACCOUNTS * OPENING
+            return expected, logical_digest(db), db.last_command_replay
+        finally:
+            db.close()
+
+    def test_value_records_between_commands_refresh_the_mirror(self):
+        expected, recovered, replay = self._split_between_commands("adaptive")
+        assert replay["commands_replayed"] == 4
+        assert recovered == expected
+        value_expected, value_recovered, _ = self._split_between_commands("value")
+        assert value_expected == value_recovered == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the T-Tree index, including property-based model checking."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import EntityAddress, IndexStructureError, SegmentKind
 from repro.index import NodeStore, TTreeIndex
+from repro.index.base import NULL_ADDRESS
 from repro.storage import MemoryManager
 
 
@@ -173,3 +176,84 @@ def test_ttree_matches_model(operations):
         key for key, values in model.items() for _ in values
     )
     assert [k for k, _ in tree.items()] == expected_keys
+
+
+def _in_bounds(key, low, high):
+    return (low is None or key >= low) and (high is None or key <= high)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(st.sampled_from(["insert", "insert", "delete"]), st.integers(0, 8)),
+        max_size=150,
+    ),
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(-1, 9)),
+            st.one_of(st.none(), st.integers(-1, 9)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_range_scan_matches_model(min_items, extra, operations, bounds):
+    """Property: a range scan equals the filtered sorted model, duplicates
+    and their order included, for open, closed and inverted bounds.
+
+    Few distinct keys and tiny nodes make equal keys straddle node
+    boundaries, which the scan's subtree pruning must not cut off."""
+    tree = TTreeIndex(make_store(), min_items=min_items, max_items=min_items + extra)
+    model: list[tuple[int, EntityAddress]] = []
+    for counter, (op, key) in enumerate(operations):
+        if op == "insert":
+            item = (key, addr(counter))
+            tree.insert(*item)
+            model.append(item)
+        else:
+            present = [item for item in model if item[0] == key]
+            if present:
+                tree.delete(*present[0])
+                model.remove(present[0])
+    model.sort()
+    for low, high in bounds:
+        expected = [item for item in model if _in_bounds(item[0], low, high)]
+        assert list(tree.range_scan(low, high)) == expected
+
+
+def test_range_scan_loads_only_the_touched_nodes(monkeypatch):
+    """A 16-key scan of a 5,000-item tree loads the nodes on the paths to
+    its two bounds plus the nodes holding matches — O(log n + k), not n."""
+    tree = TTreeIndex(make_store(), min_items=4, max_items=8)
+    keys = list(range(5000))
+    random.Random(7).shuffle(keys)
+    for key in keys:
+        tree.insert(key, addr(key))
+    height = tree._load(tree._root).height
+
+    def count_nodes(address):
+        if address == NULL_ADDRESS:
+            return 0
+        node = tree._load(address)
+        return 1 + count_nodes(node.left) + count_nodes(node.right)
+
+    node_count = count_nodes(tree._root)
+
+    loaded = []
+    load = tree._load
+
+    def counting_load(address):
+        node = load(address)
+        loaded.append(node)
+        return node
+
+    monkeypatch.setattr(tree, "_load", counting_load)
+    result = [key for key, _ in tree.range_scan(2000, 2015)]
+    assert result == list(range(2000, 2016))
+    matched = sum(
+        1 for node in loaded if any(2000 <= key <= 2015 for key, _ in node.items)
+    )
+    assert len(loaded) <= 2 * height + matched + 2
+    assert len(loaded) * 20 < node_count

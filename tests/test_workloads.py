@@ -87,6 +87,23 @@ class TestDebitCredit:
             total = sum(r["balance"] for r in db.table("account").scan(txn))
         assert total == initial + 20 * 5
 
+    def test_large_bank_loads_in_bounded_transactions(self):
+        """4 x 1,000 accounts overflow the Stable Log Buffer as one load
+        transaction; the loader commits in batches instead."""
+        db = Database()
+        wl = DebitCreditWorkload(db, branches=4, accounts_per_branch=1000, seed=1)
+        wl.load()
+        with db.transaction() as txn:
+            assert wl.account_rel.count(txn) == 4000
+            assert wl.teller_rel.count(txn) == 20
+            assert wl.branch_rel.count(txn) == 4
+        assert len(wl._account_addr) == 4000
+        assert len(wl._teller_addr) == 20
+        assert len(wl._branch_addr) == 4
+        assert wl.total_balance() == 4000 * 1000
+        wl.run(20, delta=5)
+        assert wl.total_balance() == 4000 * 1000 + 20 * 5
+
 
 class TestMixedWorkload:
     def test_runs_and_tracks_rows(self):
