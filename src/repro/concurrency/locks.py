@@ -134,7 +134,9 @@ class LockManager:
         Raises :class:`DeadlockError` when waiting would create a cycle.
         """
         with self._mutex:
-            state = self._locks.setdefault(resource, _LockState())
+            state = self._locks.get(resource)
+            if state is None:
+                state = self._locks[resource] = _LockState()
             if self._can_grant(state, txn_id, mode):
                 self._grant(state, txn_id, resource, mode, blocking=wait)
                 return True

@@ -5,11 +5,12 @@ from __future__ import annotations
 import functools
 import struct
 import threading
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Generic, Iterator, Protocol, TypeVar
 
 from repro.common.errors import IndexStructureError
 from repro.common.types import EntityAddress
 from repro.index.keys import Key, decode_key, encode_key
+from repro.index.node_store import NodeStore
 
 #: Null component pointer.
 NULL_ADDRESS = EntityAddress(-1, -1, -1)
@@ -42,6 +43,7 @@ def unpack_item(buf: bytes, pos: int) -> tuple[Key, EntityAddress, int]:
 
 
 _F = TypeVar("_F", bound=Callable[..., Any])
+_Self = TypeVar("_Self")
 
 
 def serialised(method: _F) -> _F:
@@ -80,7 +82,31 @@ def serialised_scan(method: Callable[..., Iterator[Any]]) -> Callable[..., Itera
     return wrapper
 
 
-class Index:
+class Component(Protocol):
+    """A decoded index component: a private working copy its index may
+    mutate and then write back."""
+
+    address: EntityAddress
+
+    def encode(self) -> bytes: ...
+
+    def freeze(self) -> tuple[Any, ...]:
+        """The component's content as an immutable tuple."""
+        ...
+
+    @classmethod
+    def decode(cls: type[_Self], address: EntityAddress, blob: bytes) -> _Self: ...
+
+    @classmethod
+    def thaw(cls: type[_Self], address: EntityAddress, frozen: tuple[Any, ...]) -> _Self:
+        """A fresh working copy of a :meth:`freeze` result."""
+        ...
+
+
+_C = TypeVar("_C", bound=Component)
+
+
+class Index(Generic[_C]):
     """Interface shared by the T-Tree and the linear hash index.
 
     Values are entity addresses (of relation tuples).  Duplicate keys are
@@ -90,12 +116,73 @@ class Index:
     #: Set by subclasses: True when the index supports range scans.
     ORDERED: bool = False
 
+    #: Set by subclasses: the component class :meth:`_load` decodes.
+    _component: type[_C]
+
+    store: NodeStore
+
     def __init__(self) -> None:
         #: See :func:`serialised` — whole-structure mutex for operations
         #: whose intermediate states must stay invisible across threads.
         self._structure_mutex = threading.RLock()
         #: See :meth:`mark_mirror_stale`.
         self._mirror_stale = False
+        #: See :meth:`_load` — address -> (blob, frozen decoded content).
+        self._decoded: dict[EntityAddress, tuple[bytes, tuple[Any, ...]]] = {}  # guarded-by: _structure_mutex
+
+    # -- component I/O through the decoded-component mirror --------------------
+
+    def _load(self, address: EntityAddress) -> _C:
+        """A private working copy of the component at ``address``.
+
+        The store's bytes stay the truth; the mirror only saves decoding
+        them again.  Each entry keeps the blob it was decoded from (or
+        encoded to) and is used only while the store still holds that very
+        object: bytes are immutable, so identity implies equal content.
+        Every other path that changes a component (UNDO, REDO replay,
+        on-demand install, media restore, command replay) installs a
+        different bytes object, so a stale entry simply misses.
+        """
+        blob = self.store.read(address)
+        # Re-entrant: every index operation holds the mutex already
+        # (see serialised); taking it here states the contract.
+        with self._structure_mutex:
+            cached = self._decoded.get(address)
+            if cached is not None and cached[0] is blob:
+                return self._component.thaw(address, cached[1])
+            component = self._component.decode(address, blob)
+            self._decoded[address] = (blob, component.freeze())
+        return component
+
+    def _save(self, component: _C) -> None:
+        """Write a working copy back.  The mirror takes it only after the
+        store did: a refused lock raises first and leaves the entry alone."""
+        blob = component.encode()
+        self.store.write(component.address, blob)
+        with self._structure_mutex:
+            self._decoded[component.address] = (blob, component.freeze())
+
+    def _allocate(self, component: _C) -> _C:
+        """Store a new component, setting its address."""
+        blob = component.encode()
+        component.address = self.store.allocate(blob)
+        with self._structure_mutex:
+            self._decoded[component.address] = (blob, component.freeze())
+        return component
+
+    def _free(self, address: EntityAddress) -> None:
+        self.store.free(address)
+        with self._structure_mutex:
+            self._decoded.pop(address, None)
+
+    def _retain(self, live: set[EntityAddress]) -> None:
+        """Keep mirror entries only for the ``live`` components.  A
+        rollback deletes the components its transaction allocated without
+        passing through :meth:`_free`; this bounds the mirror by the
+        index."""
+        with self._structure_mutex:
+            for address in self._decoded.keys() - live:
+                del self._decoded[address]
 
     # -- mirror staleness ---------------------------------------------------------
 

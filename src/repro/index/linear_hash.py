@@ -83,26 +83,42 @@ class _Bucket:
         parts.extend(pack_item(key, value) for key, value in self.items)
         return b"".join(parts)
 
-    @classmethod
-    def decode(cls, address: EntityAddress, blob: bytes) -> "_Bucket":
+    @staticmethod
+    def decode_header(
+        address: EntityAddress, blob: bytes
+    ) -> tuple[int, EntityAddress, int]:
+        """``(nitems, overflow, offset of the first item)``, no item decoded."""
         bucket_type, nitems = _BUCKET_HEADER.unpack_from(blob, 0)
         if bucket_type != BUCKET_TYPE:
             raise IndexStructureError(
                 f"entity at {address} is not a hash bucket (type {bucket_type})"
             )
-        pos = _BUCKET_HEADER.size
-        overflow, pos = unpack_address(blob, pos)
+        overflow, pos = unpack_address(blob, _BUCKET_HEADER.size)
+        return nitems, overflow, pos
+
+    @classmethod
+    def decode(cls, address: EntityAddress, blob: bytes) -> "_Bucket":
+        nitems, overflow, pos = cls.decode_header(address, blob)
         items = []
         for _ in range(nitems):
             key, value, pos = unpack_item(blob, pos)
             items.append((key, value))
         return cls(address, items, overflow)
 
+    def freeze(self) -> tuple[tuple[tuple[Key, EntityAddress], ...], EntityAddress]:
+        return tuple(self.items), self.overflow
 
-class LinearHashIndex(Index):
+    @classmethod
+    def thaw(cls, address: EntityAddress, frozen: tuple) -> "_Bucket":
+        items, overflow = frozen
+        return cls(address, list(items), overflow)
+
+
+class LinearHashIndex(Index[_Bucket]):
     """An unordered index over ``(key, EntityAddress)`` pairs."""
 
     ORDERED = False
+    _component = _Bucket
 
     def __init__(
         self,
@@ -180,7 +196,7 @@ class LinearHashIndex(Index):
 
     def _load_anchor(self) -> None:
         blob = self.store.read(self.anchor)
-        anchor_type, level, split, count, nchunks = _ANCHOR_HEADER.unpack_from(blob, 0)
+        anchor_type, level, split, _, nchunks = _ANCHOR_HEADER.unpack_from(blob, 0)
         if anchor_type != ANCHOR_TYPE:
             raise IndexStructureError("anchor entity has wrong type")
         pos = _ANCHOR_HEADER.size
@@ -197,8 +213,22 @@ class LinearHashIndex(Index):
             self._directory.extend(self._decode_chunk(chunk_address))
         # the anchor's count is only persisted at structural changes, so
         # recount on rebuild (mirrors the T-Tree's recovery behaviour)
-        self._count = count
-        self._count = sum(1 for _ in self.items())
+        self._count = self._scan_headers()
+
+    def _scan_headers(self) -> int:
+        """Count the items from bucket headers alone (no item is decoded)
+        and drop mirror entries of buckets no longer in any chain."""
+        count = 0
+        live = set()
+        for address in self._directory:
+            while address != NULL_ADDRESS:
+                live.add(address)
+                nitems, address, _ = _Bucket.decode_header(
+                    address, self.store.read(address)
+                )
+                count += nitems
+        self._retain(live)
+        return count
 
     def _save_anchor(self) -> None:
         self.store.write(self.anchor, self._encode_anchor())
@@ -231,15 +261,7 @@ class LinearHashIndex(Index):
     # -- bucket I/O ---------------------------------------------------------------
 
     def _new_bucket(self) -> _Bucket:
-        bucket = _Bucket(NULL_ADDRESS)
-        bucket.address = self.store.allocate(bucket.encode())
-        return bucket
-
-    def _load(self, address: EntityAddress) -> _Bucket:
-        return _Bucket.decode(address, self.store.read(address))
-
-    def _save(self, bucket: _Bucket) -> None:
-        self.store.write(bucket.address, bucket.encode())
+        return self._allocate(_Bucket(NULL_ADDRESS))
 
     # -- addressing ------------------------------------------------------------------
 
@@ -298,7 +320,7 @@ class LinearHashIndex(Index):
                     # unlink the emptied overflow node
                     previous.overflow = bucket.overflow
                     self._save(previous)
-                    self.store.free(bucket.address)
+                    self._free(bucket.address)
                 else:
                     self._save(bucket)
                 return
@@ -334,7 +356,7 @@ class LinearHashIndex(Index):
             bucket = self._load(address)
             items.extend(bucket.items)
             next_address = bucket.overflow
-            self.store.free(bucket.address)
+            self._free(bucket.address)
             address = next_address
         buddy = self._new_bucket()
         self._append_to_directory(buddy.address)

@@ -85,21 +85,39 @@ class _TNode:
         parts.extend(pack_item(key, value) for key, value in self.items)
         return b"".join(parts)
 
-    @classmethod
-    def decode(cls, address: EntityAddress, blob: bytes) -> "_TNode":
+    @staticmethod
+    def decode_header(
+        address: EntityAddress, blob: bytes
+    ) -> tuple[int, int, EntityAddress, EntityAddress, int]:
+        """``(height, nitems, left, right, offset of the first item)``, no
+        item decoded."""
         node_type, height, nitems = _NODE_HEADER.unpack_from(blob, 0)
         if node_type != NODE_TYPE:
             raise IndexStructureError(
                 f"entity at {address} is not a T-Tree node (type {node_type})"
             )
-        pos = _NODE_HEADER.size
-        left, pos = unpack_address(blob, pos)
+        left, pos = unpack_address(blob, _NODE_HEADER.size)
         right, pos = unpack_address(blob, pos)
+        return height, nitems, left, right, pos
+
+    @classmethod
+    def decode(cls, address: EntityAddress, blob: bytes) -> "_TNode":
+        height, nitems, left, right, pos = cls.decode_header(address, blob)
         items = []
         for _ in range(nitems):
             key, value, pos = unpack_item(blob, pos)
             items.append((key, value))
         return cls(address, height, items, left, right)
+
+    def freeze(
+        self,
+    ) -> tuple[int, tuple[Item, ...], EntityAddress, EntityAddress]:
+        return self.height, tuple(self.items), self.left, self.right
+
+    @classmethod
+    def thaw(cls, address: EntityAddress, frozen: tuple) -> "_TNode":
+        height, items, left, right = frozen
+        return cls(address, height, list(items), left, right)
 
     # -- item helpers ---------------------------------------------------------------
 
@@ -144,10 +162,11 @@ class _TNode:
         return [value for item_key, value in self.items if compare_keys(item_key, key) == 0]
 
 
-class TTreeIndex(Index):
+class TTreeIndex(Index[_TNode]):
     """An ordered index over ``(key, EntityAddress)`` pairs."""
 
     ORDERED = True
+    _component = _TNode
 
     def __init__(
         self,
@@ -169,7 +188,7 @@ class TTreeIndex(Index):
         else:
             self.anchor = anchor
             self._load_anchor()
-            self._count = sum(1 for _ in self.items())
+            self._count = self._scan_headers()
 
     # -- anchor ------------------------------------------------------------------
 
@@ -195,25 +214,34 @@ class TTreeIndex(Index):
         nodes; the decoded root address and item count held here would
         otherwise keep the rolled-back structure."""
         self._load_anchor()
-        self._count = sum(1 for _ in self.items())
+        self._count = self._scan_headers()
+
+    def _scan_headers(self) -> int:
+        """Count the items from node headers alone (no item is decoded)
+        and drop mirror entries of nodes no longer in the tree."""
+        count = 0
+        live = set()
+        pending = [self._root]
+        while pending:
+            address = pending.pop()
+            if address == NULL_ADDRESS:
+                continue
+            live.add(address)
+            _, nitems, left, right, _ = _TNode.decode_header(
+                address, self.store.read(address)
+            )
+            count += nitems
+            pending += (left, right)
+        self._retain(live)
+        return count
 
     def _set_root(self, address: EntityAddress) -> None:
         if address != self._root:
             self._root = address
             self.store.write(self.anchor, self._encode_anchor())
 
-    # -- node I/O ------------------------------------------------------------------
-
-    def _load(self, address: EntityAddress) -> _TNode:
-        return _TNode.decode(address, self.store.read(address))
-
-    def _save(self, node: _TNode) -> None:
-        self.store.write(node.address, node.encode())
-
     def _new_node(self, items: list[tuple[Key, EntityAddress]]) -> _TNode:
-        node = _TNode(NULL_ADDRESS, 1, items)
-        node.address = self.store.allocate(node.encode())
-        return node
+        return self._allocate(_TNode(NULL_ADDRESS, 1, items))
 
     # -- public API --------------------------------------------------------------------
 
@@ -411,7 +439,7 @@ class TTreeIndex(Index):
         # Empty leaf or half-leaf: splice it out of the tree.
         child = node.left if has_left else (node.right if has_right else NULL_ADDRESS)
         self._replace_child(path, node, child)
-        self.store.free(node.address)
+        self._free(node.address)
         path.pop()
         self._rebalance_path(path)
 
@@ -552,7 +580,7 @@ class TTreeIndex(Index):
             self._save(left)
         else:
             node.left = left.left
-            self.store.free(left.address)
+            self._free(left.address)
 
     # -- invariants -------------------------------------------------------------------------------
 

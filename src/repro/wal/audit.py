@@ -20,6 +20,7 @@ import json
 import struct
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import LogError
 from repro.sim.stable_memory import StableMemory
@@ -41,6 +42,12 @@ class AuditEntry:
     user_data: str = ""
 
     def encode(self) -> bytes:
+        return self._wire
+
+    @cached_property
+    def _wire(self) -> bytes:
+        """The encoded entry, built once: :meth:`AuditLog.record` sizes it
+        and :meth:`AuditLog.flush` writes it, from the same bytes."""
         body = json.dumps(
             {
                 "txn": self.txn_id,

@@ -62,6 +62,30 @@ class TestAuditLog:
         assert audit.pages_flushed >= 1
         assert audit.entries_written == 20
 
+    def test_each_entry_is_encoded_once(self, monkeypatch):
+        """record() sizes an entry and flush() writes it from one encoding,
+        and the flushed pages still decode to the recorded trail."""
+        import repro.wal.audit as audit_module
+
+        dumps_calls = 0
+        real_dumps = audit_module.json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            nonlocal dumps_calls
+            dumps_calls += 1
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(audit_module.json, "dumps", counting_dumps)
+        audit, _, _ = make_audit(page_size=128)
+        recorded = [
+            audit.record(i, "commit", i / 4, user_data=f"teller-{i}")
+            for i in range(20)
+        ]
+        audit.flush()
+        assert audit.pages_flushed >= 2
+        assert dumps_calls == len(recorded)
+        assert audit.trail() == recorded
+
     def test_entries_for_transaction(self):
         audit, _, _ = make_audit()
         audit.record(1, "begin", 0.0)

@@ -246,12 +246,15 @@ class TestDegenerateSingleShard:
                 scheduler.submit(transfer(i, (i + 1) % 8), name=f"t{i}")
 
         seed_db = Database(small_config())
-        seed_sched = ConcurrentScheduler(seed_db)
+        # One worker each: with several, thread interleaving decides which
+        # transfers conflict, so the commit/abort counts compared below
+        # would differ between two otherwise identical runs.
+        seed_sched = ConcurrentScheduler(seed_db, workers=1)
         drive(seed_db, seed_sched)
         seed_sched.run()
 
         cluster = ShardedDatabase(shards=1, config=small_config(), engine="sim")
-        cluster_sched = ShardedScheduler(cluster)
+        cluster_sched = ShardedScheduler(cluster, workers=1)
 
         class _Submit:
             """Adapts the sharded submit(script, relations, name) shape."""
