@@ -18,8 +18,8 @@ section 2.4 — and transparently when the SLB fills (back-pressure).
 no explicit pumping.  Under the default
 :class:`~repro.engine.sim.SimEngine` everything is cooperative and
 deterministic; the :class:`~repro.engine.threaded.ThreadedEngine` runs
-the recovery processor on its own host thread and restores partitions
-concurrently during restart phase 2 (see ``docs/ENGINES.md``).
+the same duties inline and restores partitions concurrently on a worker
+pool during restart phase 2 (see ``docs/ENGINES.md``).
 
 Crash semantics: :meth:`crash` discards everything volatile (partitions,
 lock tables, active transactions, catalog caches, index objects) and keeps
@@ -601,9 +601,9 @@ class Database:
     # -- lifecycle ------------------------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release engine resources (threads).  Idempotent; the database
-        remains usable for inspection afterwards but must not be pumped."""
-        self.engine.shutdown()
+        """End the database's session.  Idempotent.  No engine keeps a
+        thread between calls, so there is nothing to release; the
+        database remains usable for inspection afterwards."""
 
     def __enter__(self) -> "Database":
         return self

@@ -8,11 +8,15 @@ interchangeable schedulings of that design behind one interface:
   scheduler.  Both processors' duties run inline on the caller's thread
   in a fixed order, so instruction metering and the Table 2 / section 3.2
   model comparison are bit-for-bit reproducible.
-* :class:`~repro.engine.threaded.ThreadedEngine` — the recovery
-  processor on its own host thread, plus a worker pool that restores
-  missing partitions concurrently during restart phase 2 and fans out
-  the per-partition replay streams of a whole-database media restore
+* :class:`~repro.engine.threaded.ThreadedEngine` — the same inline
+  duties, plus a worker pool that restores missing partitions
+  concurrently during restart phase 2 and fans out the per-partition
+  replay streams of a whole-database media restore
   (:meth:`~repro.engine.base.ExecutionEngine.restore_map`).
+
+In both, the recovery processor's duties run on whichever thread calls
+``pump`` or ``drain_log``, one at a time under the engine's recovery-CPU
+lock.
 
 Select per database (``Database(engine=...)``) or process-wide with the
 ``REPRO_ENGINE`` environment variable (``sim`` | ``threaded``), which CI
@@ -38,10 +42,6 @@ __all__ = [
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: Environment variable sizing the threaded engine's restore pool.
 WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
-#: Environment variable opting the threaded engine into the relaxed
-#: (batched, one-mailbox-round-trip) pump.  Off by default so duty
-#: observation stays SimEngine-identical.
-RELAXED_ENV_VAR = "REPRO_ENGINE_RELAXED"
 
 
 def engine_from_env() -> ExecutionEngine:
@@ -50,14 +50,14 @@ def engine_from_env() -> ExecutionEngine:
     if kind in ("", "sim"):
         return SimEngine()
     if kind == "threaded":
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "4"))
-        relaxed = os.environ.get(RELAXED_ENV_VAR, "").strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-        return ThreadedEngine(workers=workers, relaxed_pump=relaxed)
+        raw = os.environ.get(WORKERS_ENV_VAR, "4")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+        return ThreadedEngine(workers=workers)
     raise ValueError(
         f"unknown {ENGINE_ENV_VAR} value {kind!r}; expected 'sim' or 'threaded'"
     )

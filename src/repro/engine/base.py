@@ -1,10 +1,10 @@
 """The execution-engine interface.
 
-An engine decides *where* the recovery component's duties run — inline on
-the caller (deterministic simulation) or on dedicated host threads (the
-paper's genuinely concurrent two-processor hardware).  The database and
-its services call only this interface; everything engine-specific stays
-behind it.
+An engine decides *where* the recovery component's duties run.  Every
+engine runs the recovery processor's duties inline on the calling
+thread; engines differ only in how a restore fan-out is spread over host
+threads.  The database and its services call only this interface;
+everything engine-specific stays behind it.
 """
 
 from __future__ import annotations
@@ -62,22 +62,11 @@ class ExecutionEngine(abc.ABC):
         paper's order: sort, acknowledge, checkpoint, acknowledge, then
         one background restore step."""
 
-    @abc.abstractmethod
-    def restore_partitions(self, addresses: list[PartitionAddress]) -> int:
-        """Restore the given partitions (restart phase 2 bulk path).
-
-        Returns how many were actually rebuilt now (already-resident ones
-        count zero).  On failure the unprocessed remainder is requeued on
-        the restart coordinator before the error propagates.
-        """
-
     def restore_map(self, fn, items: list) -> list:
         """Apply ``fn`` to every item of a restore fan-out, returning the
         results in input order.
 
-        Media recovery uses this seam to rebuild per-partition replay
-        streams the way restart phase 2 restores missing partitions: the
-        items are independent, so an engine may run them on a worker
+        The items are independent, so an engine may run them on a worker
         pool.  The default applies them sequentially on the caller, in
         input order — the deterministic degenerate case.  On failure the
         first error propagates; items not yet started are abandoned (the
@@ -85,33 +74,32 @@ class ExecutionEngine(abc.ABC):
         """
         return [fn(item) for item in items]
 
-    def quiesce(self) -> None:
-        """Wait for any engine-internal background work to settle.
+    def restore_partitions(self, addresses: list[PartitionAddress]) -> int:
+        """Restore the given partitions (restart phase 2 bulk path) over
+        :meth:`restore_map`.
 
-        Both built-in engines complete work synchronously, so the default
-        is a no-op; engines with free-running threads must override.
+        Returns how many were actually rebuilt now (already-resident ones
+        count zero).  On failure every address that did not finish is
+        requeued on the restart coordinator before the error propagates.
         """
-
-    def shutdown(self) -> None:
-        """Release engine resources (threads).  Idempotent."""
-
-    # -- shared sequential fallback -------------------------------------------
-
-    def _restore_sequential(self, addresses: list[PartitionAddress]) -> int:
-        """Restore partitions one at a time on the calling thread."""
         db = self._require_db()
         coordinator = db.restart_coordinator
-        if coordinator is None:
+        if coordinator is None or not addresses:
             return 0
-        recovered = 0
-        remaining = list(addresses)
-        while remaining:
-            address = remaining.pop(0)
-            try:
-                crash_point("engine.restore.before-partition")
-                if coordinator.recover_partition(address) is not None:
-                    recovered += 1
-            except BaseException:
-                coordinator.requeue([address] + remaining)
-                raise
-        return recovered
+        finished = [False] * len(addresses)
+
+        def restore(job: tuple[int, PartitionAddress]) -> bool:
+            position, address = job
+            crash_point("engine.restore.before-partition")
+            rebuilt = coordinator.recover_partition(address) is not None
+            finished[position] = True
+            return rebuilt
+
+        try:
+            rebuilt = self.restore_map(restore, list(enumerate(addresses)))
+        except BaseException:
+            coordinator.requeue(
+                [a for a, done in zip(addresses, finished) if not done]
+            )
+            raise
+        return sum(rebuilt)

@@ -1,128 +1,32 @@
-"""The threaded engine: a real recovery processor thread plus a restore
-worker pool.
+"""The threaded engine: the cooperative engine plus a restore worker pool.
 
-The paper's hardware runs the recovery CPU concurrently with the main
-CPU against shared stable memory.  Here the recovery processor's duties
-execute on a dedicated host thread; callers submit a duty and wait for
-its completion, so the *order* of duties — and therefore every metered
-total — matches the cooperative engine, while the work itself runs on
-the other thread against the now lock-hardened stable structures.
+The recovery processor's duties run inline on the calling thread, exactly
+as under :class:`~repro.engine.sim.SimEngine`, serialised by the same
+recovery-CPU lock, so every metered total matches the cooperative engine.
 
-Restart phase 2 is where genuine concurrency pays: ``restore_partitions``
-fans the missing-partition list out over a pool of worker threads, each
-running independent recovery transactions (the paper's section 2.5 notes
-these are ordinary transactions, so several can run at once).  Simulated
-device time still aggregates on the shared virtual clock; wall-clock
-speedup shows when disks are given a non-zero ``realtime_scale`` (see
-``benchmarks/bench_parallel_recovery.py``).
-
-Exceptions raised by a duty on the recovery thread — including simulated
-crash faults from the chaos monkey — are ferried back and re-raised on
-the submitting thread, so crash-injection tests behave identically under
-both engines.
+Restart phase 2 is where genuine concurrency pays: :meth:`restore_map`
+fans a restore out over a pool of worker threads.  Phase-2 partition
+restores run independent recovery transactions (the paper's section 2.5
+notes these are ordinary transactions, so several can run at once), and
+media recovery rebuilds its per-partition replay streams the same way.
+Simulated device time still aggregates on the shared virtual clock;
+wall-clock speedup shows when disks are given a non-zero
+``realtime_scale`` (see ``benchmarks/bench_parallel_recovery.py``).
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 
-from repro.common.types import PartitionAddress
-from repro.engine.base import ExecutionEngine
-from repro.sim.chaos import crash_point
+from repro.engine.sim import SimEngine
 
 
-class _RecoveryThread:
-    """A persistent worker executing one submitted job at a time.
-
-    The single-slot mailbox keeps submissions strictly sequential: the
-    submitter blocks until its job finishes, and the job's return value
-    or exception crosses back over the mailbox.  The thread starts
-    lazily (many test databases never pump) and is a daemon, with
-    :meth:`stop` for deterministic shutdown.
-    """
-
-    def __init__(self, label: str):
-        self._label = label
-        self._cv = threading.Condition()
-        self._job: tuple | None = None
-        self._stop_requested = False
-        self._thread: threading.Thread | None = None
-
-    def _ensure_started(self) -> None:
-        with self._cv:
-            if self._thread is None or not self._thread.is_alive():
-                self._stop_requested = False
-                self._thread = threading.Thread(
-                    target=self._loop, name=self._label, daemon=True
-                )
-                self._thread.start()
-
-    def run_job(self, fn):
-        """Execute ``fn`` on the recovery thread; return its result or
-        re-raise its exception here."""
-        self._ensure_started()
-        box: dict = {"done": False, "value": None, "error": None}
-        with self._cv:
-            while self._job is not None:
-                self._cv.wait()
-            self._job = (fn, box)
-            self._cv.notify_all()
-            while not box["done"]:
-                self._cv.wait()
-        if box["error"] is not None:
-            raise box["error"]
-        return box["value"]
-
-    def _loop(self) -> None:
-        while True:
-            with self._cv:
-                while self._job is None and not self._stop_requested:
-                    self._cv.wait()
-                if self._stop_requested:
-                    return
-                fn, box = self._job
-            value = error = None
-            try:
-                value = fn()
-            # Not a swallow: the error crosses the mailbox and run_job
-            # re-raises it on the submitting thread, so SimulatedCrash
-            # and friends keep their control-flow meaning.
-            except BaseException as exc:  # repro-check: ignore[RC04]
-                error = exc
-            with self._cv:
-                box["value"] = value
-                box["error"] = error
-                box["done"] = True
-                self._job = None
-                self._cv.notify_all()
-
-    def idle(self) -> bool:
-        with self._cv:
-            return self._job is None
-
-    def stop(self) -> None:
-        with self._cv:
-            thread = self._thread
-            self._stop_requested = True
-            self._cv.notify_all()
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=5.0)
-        with self._cv:
-            self._thread = None
-
-
-class ThreadedEngine(ExecutionEngine):
-    """Recovery duties on their own thread; parallel phase-2 restores."""
+class ThreadedEngine(SimEngine):
+    """Cooperative duties; restore fan-outs on a worker pool."""
 
     name = "threaded"
 
-    def __init__(
-        self,
-        workers: int = 4,
-        relaxed_pump: bool = False,
-        thread_prefix: str = "repro",
-    ):
+    def __init__(self, workers: int = 4, thread_prefix: str = "repro"):
         super().__init__()
         if workers < 1:
             raise ValueError("the threaded engine needs at least one worker")
@@ -130,116 +34,15 @@ class ThreadedEngine(ExecutionEngine):
         #: Host-thread name prefix; a sharded deployment gives each node
         #: its own (``repro-shard3``) so stack dumps attribute work.
         self.thread_prefix = thread_prefix
-        #: With relaxed determinism, :meth:`pump` makes ONE mailbox round
-        #: trip instead of four: the full duty sequence (sort → ack →
-        #: checkpoint → ack → background restore) runs as a single job on
-        #: the recovery thread, in the same order but without the
-        #: per-duty submit/observe barrier on the caller.  Duty *order*
-        #: still matches SimEngine; what is relaxed is only when the
-        #: caller observes intermediate state, so metered totals of a
-        #: quiet pump stay identical while the mailbox hot path drops to
-        #: a quarter of the round trips.
-        self.relaxed_pump = relaxed_pump
-        self._recovery = _RecoveryThread(f"{thread_prefix}-recovery-cpu")
-        # The databases under test are created by the hundred; tie the
-        # thread's lifetime to the engine object so abandoned instances
-        # cannot leak host threads.
-        self._finalizer = weakref.finalize(self, _RecoveryThread.stop, self._recovery)
-
-    # -- recovery-CPU duties --------------------------------------------------
-
-    def drain_log(self) -> int:
-        db = self._require_db()
-        return self._recovery.run_job(db.recovery_service.drain)
-
-    def pump(self) -> None:
-        db = self._require_db()
-        if self.relaxed_pump:
-            # One mailbox round trip: the whole duty sequence runs as a
-            # single job, in the same order.  Checkpoint transactions are
-            # no-wait (conflicts defer the request), so hosting them on
-            # the recovery thread cannot block the mailbox on a user
-            # transaction's locks.
-            def batched() -> None:
-                db.recovery_service.drain()
-                db.checkpoint_service.acknowledge()
-                db.checkpoint_service.process_pending()
-                db.checkpoint_service.acknowledge()
-                db.recovery_service.background_step()
-                db.recovery_service.condense_step()
-
-            self._recovery.run_job(batched)
-            return
-        # Same duty order as SimEngine; the recovery CPU's share runs on
-        # the recovery thread, the checkpoint transactions (main-CPU work
-        # in the paper) stay on the calling thread.
-        self._recovery.run_job(db.recovery_service.drain)
-        self._recovery.run_job(db.checkpoint_service.acknowledge)
-        db.checkpoint_service.process_pending()
-        self._recovery.run_job(db.checkpoint_service.acknowledge)
-        db.recovery_service.background_step()
-        self._recovery.run_job(db.recovery_service.condense_step)
-
-    # -- restart phase 2 ------------------------------------------------------
-
-    def restore_partitions(self, addresses: list[PartitionAddress]) -> int:
-        db = self._require_db()
-        coordinator = db.restart_coordinator
-        if coordinator is None or not addresses:
-            return 0
-        pool_size = min(self.workers, len(addresses))
-        if pool_size <= 1:
-            return self._restore_sequential(addresses)
-        work = list(addresses)
-        state_lock = threading.Lock()
-        recovered = [0]
-        errors: list[BaseException] = []
-
-        def worker() -> None:
-            while True:
-                with state_lock:
-                    if errors or not work:
-                        return
-                    address = work.pop(0)
-                try:
-                    crash_point("engine.restore.before-partition")
-                    if coordinator.recover_partition(address) is not None:
-                        with state_lock:
-                            recovered[0] += 1
-                # Not a swallow: the first error stops the pool and is
-                # re-raised on the caller after the failed address is
-                # handed back to the restart queue.
-                except BaseException as exc:  # repro-check: ignore[RC04]
-                    with state_lock:
-                        errors.append(exc)
-                        work.insert(0, address)
-                    return
-
-        threads = [
-            threading.Thread(
-                target=worker, name=f"{self.thread_prefix}-restore-{i}", daemon=True
-            )
-            for i in range(pool_size)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            coordinator.requeue(work)
-            raise errors[0]
-        return recovered[0]
-
-    # -- restore fan-out (media recovery) -------------------------------------
 
     def restore_map(self, fn, items: list) -> list:
         """Run a restore fan-out on the worker pool, results in input
         order.
 
-        Same pool shape as :meth:`restore_partitions`: workers claim items
-        by index, the first error stops the pool and is re-raised on the
-        caller.  One worker (or one item) degenerates to the sequential
-        base implementation, so SimEngine and ``workers=1`` apply in the
+        Workers claim items by index; the first error stops the pool and
+        is re-raised on the caller once every worker has returned.  One
+        worker (or one item) degenerates to the sequential base
+        implementation, so SimEngine and ``workers=1`` apply in the
         identical order.
         """
         items = list(items)
@@ -261,7 +64,7 @@ class ThreadedEngine(ExecutionEngine):
                 try:
                     results[index] = fn(items[index])
                 # Not a swallow: the first error stops the pool and is
-                # re-raised on the caller, same as restore_partitions.
+                # re-raised on the caller.
                 except BaseException as exc:  # repro-check: ignore[RC04]
                     with state_lock:
                         errors.append(exc)
@@ -269,9 +72,7 @@ class ThreadedEngine(ExecutionEngine):
 
         threads = [
             threading.Thread(
-                target=worker,
-                name=f"{self.thread_prefix}-media-restore-{i}",
-                daemon=True,
+                target=worker, name=f"{self.thread_prefix}-restore-{i}", daemon=True
             )
             for i in range(pool_size)
         ]
@@ -282,13 +83,3 @@ class ThreadedEngine(ExecutionEngine):
         if errors:
             raise errors[0]
         return results
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        # Submissions are synchronous, so "idle mailbox" means settled.
-        while not self._recovery.idle():  # pragma: no cover - defensive
-            pass
-
-    def shutdown(self) -> None:
-        self._recovery.stop()

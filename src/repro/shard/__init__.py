@@ -10,7 +10,7 @@ presumed-abort two-phase commit over the no-wait 2PL
 ``shards=1`` degenerates digest-identically to a standalone database.
 """
 
-from repro.shard.engine import ShardedEngine, fan_out
+from repro.shard.engine import fan_out
 from repro.shard.node import ShardNode
 from repro.shard.router import RoutingError, ShardRouter
 from repro.shard.scheduler import ShardedScheduler
@@ -29,7 +29,6 @@ __all__ = [
     "ShardNode",
     "ShardRouter",
     "ShardedDatabase",
-    "ShardedEngine",
     "ShardedRelation",
     "ShardedScheduler",
     "ShardingError",

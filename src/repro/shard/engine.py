@@ -1,11 +1,9 @@
-"""The sharded execution engine: one node's slice of the cluster.
+"""Cluster-wide fan-out across shard nodes.
 
-A :class:`ShardedEngine` is a :class:`~repro.engine.threaded.ThreadedEngine`
-that knows which shard it drives: its recovery-CPU thread, phase-2
-restore pool, and media-restore pool are all named after the node
-(``repro-shard3-recovery-cpu`` …), so every node gets its own worker
-pool, duty pumping, and restore fan-out while sharing no thread — the
-shared-nothing property the topology is named for.
+Each node of a threaded cluster drives its own
+:class:`~repro.engine.threaded.ThreadedEngine`, whose restore pool is
+named after the node (``repro-shard3-restore-1`` …), so nodes share no
+thread — the shared-nothing property the topology is named for.
 
 :func:`fan_out` is the facade-side complement: it runs one callable per
 node on parallel host threads (cluster-wide pump, restart, eager
@@ -17,29 +15,6 @@ from __future__ import annotations
 
 import threading
 from typing import Callable
-
-from repro.engine.threaded import ThreadedEngine
-
-
-class ShardedEngine(ThreadedEngine):
-    """A per-node threaded engine carrying its shard identity."""
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shard_id: int,
-        workers: int = 4,
-        relaxed_pump: bool = False,
-    ):
-        if shard_id < 0:
-            raise ValueError("shard_id must be non-negative")
-        super().__init__(
-            workers=workers,
-            relaxed_pump=relaxed_pump,
-            thread_prefix=f"repro-shard{shard_id}",
-        )
-        self.shard_id = shard_id
 
 
 def fan_out(jobs: list[Callable[[], object]], parallel: bool = True) -> list:

@@ -16,8 +16,8 @@ from repro.common.config import SystemConfig
 from repro.db.database import Database, RecoveryMode
 from repro.db.monitor import Monitor
 from repro.engine.sim import SimEngine
+from repro.engine.threaded import ThreadedEngine
 from repro.recovery.restart import RestartCoordinator
-from repro.shard.engine import ShardedEngine
 
 
 class ShardNode:
@@ -29,7 +29,6 @@ class ShardNode:
         config: SystemConfig | None = None,
         engine_kind: str = "sim",
         workers: int = 4,
-        relaxed_pump: bool = False,
     ):
         if engine_kind not in ("sim", "threaded"):
             raise ValueError(f"unknown engine kind {engine_kind!r}")
@@ -38,9 +37,7 @@ class ShardNode:
         if engine_kind == "sim":
             engine = SimEngine()
         else:
-            engine = ShardedEngine(
-                shard_id, workers=workers, relaxed_pump=relaxed_pump
-            )
+            engine = ThreadedEngine(workers, thread_prefix=f"repro-shard{shard_id}")
         self.db = Database(config, engine=engine)
         self.db.shard_id = shard_id
         self.monitor = Monitor(self.db)

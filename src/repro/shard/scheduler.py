@@ -26,7 +26,7 @@ from repro.shard.engine import fan_out
 from repro.shard.sharded import DistributedTransaction
 from repro.sim.faults import SimulatedCrash
 from repro.txn.concurrent import ConcurrentScheduler
-from repro.txn.scheduler import SchedulerError, ScriptResult
+from repro.txn.scheduler import SchedulerError, ScriptResult, backoff_stagger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard.sharded import ShardedDatabase
@@ -61,8 +61,7 @@ class _CrossScript:
         self.backoff = 0
 
     def next_backoff(self) -> int:
-        # Same stagger as the single-node schedulers (livelock avoidance).
-        return min(2 * self.attempts + self.slot % 5, 24)
+        return backoff_stagger(self.attempts, self.slot)
 
     def start(self, cluster: "ShardedDatabase") -> None:
         self.attempts += 1

@@ -219,7 +219,6 @@ class ShardedDatabase:
         config: SystemConfig | None = None,
         engine: str = "sim",
         workers: int = 4,
-        relaxed_pump: bool = False,
         placement: dict[str, int] | None = None,
     ):
         if engine not in ("sim", "threaded"):
@@ -227,13 +226,7 @@ class ShardedDatabase:
         self.engine_kind = engine
         self.router = ShardRouter(shards, placement)
         self.nodes = [
-            ShardNode(
-                sid,
-                config,
-                engine_kind=engine,
-                workers=workers,
-                relaxed_pump=relaxed_pump,
-            )
+            ShardNode(sid, config, engine_kind=engine, workers=workers)
             for sid in range(shards)
         ]
         self.twopc = TwoPhaseCommit(self)

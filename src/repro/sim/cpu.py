@@ -25,7 +25,7 @@ class CpuMeter:
     """Accounts simulated instructions (and time) for one processor.
 
     Counter updates are atomic: under the threaded engine a meter may be
-    charged from the recovery thread while the main thread reads it (the
+    charged from a worker thread while the main thread reads it (the
     monitor, the benchmarks), so each charge is one locked read-modify-write
     and the totals are interleaving-independent.
     """

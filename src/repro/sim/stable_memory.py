@@ -27,7 +27,7 @@ class StableMemory:
     """A capacity-tracked region of stable reliable RAM.
 
     The allocator is thread-safe: under the threaded engine the main CPU
-    allocates SLB blocks while the recovery thread releases drained ones,
+    allocates SLB blocks while a drain on another thread releases drained ones,
     so the allocation table and the used-byte ledger mutate under one
     internal lock.  (The paper's stable RAM has exactly this property —
     both processors address it directly.)

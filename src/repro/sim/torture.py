@@ -19,7 +19,7 @@ Verification is layered to stay honest about thread nondeterminism:
   :class:`~repro.recovery.oracle.RecoveryVerifier`; after crash +
   restart the recovered digest must be byte-identical to the digest at
   the last durable commit.  (Digest-at-commit is only well defined while
-  a single thread mutates, hence the quiesced tail.)
+  a single thread mutates, hence the single-threaded tail.)
 * **Bank invariants** — after any recovery, committed debit/credit
   transactions must be atomic across all four relations: with ``C``
   history rows, accounts total ``1000·N + 10·C`` and tellers and
@@ -296,7 +296,7 @@ class TortureHarness:
                 except SimulatedCrash:
                     crashed_mid_pool = True
                 if not crashed_mid_pool:
-                    # Phase 2 — quiesce, then an exactly-verifiable
+                    # Phase 2 — settle the pool, then an exactly-verifiable
                     # sequential tail (single mutator, digest per commit).
                     db.pump()
                     verifier = RecoveryVerifier(db)

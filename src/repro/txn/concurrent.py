@@ -1,7 +1,7 @@
 """Concurrent user-transaction execution on worker threads.
 
-PR 3 put the *recovery* CPU and phase-2 restores on their own threads;
-this module does the same for **user transactions**.  The paper's commit
+The threaded engine puts phase-2 restores on a worker pool; this module
+does the same for **user transactions**.  The paper's commit
 path was designed for exactly this: per-transaction SLB block chains mean
 committing transactions never serialise on a log tail (section 3.2), and
 the no-wait two-phase locking policy (section 2.3.2) resolves conflicts

@@ -50,6 +50,16 @@ class ScriptResult:
     txn_ids: list[int] = field(default_factory=list)
 
 
+def backoff_stagger(attempts: int, slot: int) -> int:
+    """Scheduling slots a script sits out after losing a conflict.
+
+    Staggered by attempts and submission slot so retrying scripts
+    de-synchronise instead of colliding in lockstep (livelock
+    avoidance).  Every scheduler uses this one stagger.
+    """
+    return min(2 * attempts + slot % 5, 24)
+
+
 class _RunningScript:
     def __init__(self, name: str, script: Script, max_attempts: int, slot: int):
         self.name = name
@@ -60,13 +70,11 @@ class _RunningScript:
         self.txn_ids: list[int] = []
         self.generator: Iterator[None] | None = None
         self.txn: Transaction | None = None
-        #: Scheduling slots to sit out after losing a conflict; staggered
-        #: by attempts and slot so retrying scripts de-synchronise instead
-        #: of colliding in lockstep (livelock avoidance).
+        #: Scheduling slots left to sit out (see :func:`backoff_stagger`).
         self.backoff = 0
 
     def next_backoff(self) -> int:
-        return min(2 * self.attempts + self.slot % 5, 24)
+        return backoff_stagger(self.attempts, self.slot)
 
     def start(self, db: "Database") -> None:
         self.attempts += 1

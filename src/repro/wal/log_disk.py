@@ -142,7 +142,7 @@ class ArchiveStore:
 
     def __init__(self):
         self._pages: dict[int, bytes] = {}  # guarded-by: _lock
-        #: The recovery thread archives expired pages while restore
+        #: The recovery processor archives expired pages while restore
         #: workers read archived history concurrently.
         self._lock = threading.Lock()
 

@@ -99,7 +99,7 @@ class StableLogBuffer:
         self._well_known: dict[str, object] = {}  # guarded-by: _mutex
         self.stable.allocate("slb-well-known", WELL_KNOWN_RESERVE, self._well_known)
         #: Serialises the chain lists and statistics between the main
-        #: CPU's transaction threads and the recovery thread's drain.
+        #: CPU's transaction threads and the recovery processor's drain.
         #: Lock order: ``_mutex`` → ``block_latch`` → stable-memory lock;
         #: the block latch is only ever taken under the mutex, so its
         #: raise-on-contention semantics stay meaningful (a contended

@@ -108,7 +108,7 @@ class StableLogTail:
         self.stable.allocate("slt-well-known", 16 * 1024, self._well_known)
         #: Table mutex: guards only the bin *maps* (registration, drop,
         #: snapshots) and the well-known area.  Per-bin state is sharded
-        #: onto each :attr:`PartitionBin.mutex`, so the recovery thread
+        #: onto each :attr:`PartitionBin.mutex`, so the recovery processor
         #: sorting into one bin no longer contends with restore workers
         #: or checkpointers touching other bins.  Lock order:
         #: table mutex → bin lock → stable-memory lock.

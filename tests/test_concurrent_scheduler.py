@@ -251,42 +251,3 @@ class TestObservability:
         assert Monitor(db).snapshot()["scheduler"] is None
         assert db.stats()["scheduler"] is None
         db.close()
-
-
-class TestRelaxedPump:
-    def test_relaxed_pump_matches_default_duty_totals(self):
-        """The batched single-round-trip pump performs the same duties in
-        the same order; only the caller's observation points relax."""
-        totals = []
-        for relaxed in (False, True):
-            db, accounts = build_bank(
-                engine=ThreadedEngine(workers=2, relaxed_pump=relaxed)
-            )
-            with db.transaction() as txn:
-                for i in range(40):
-                    accounts.insert(txn, {"id": 100 + i, "balance": i})
-            for _ in range(3):
-                db.pump()
-            totals.append(
-                (
-                    db.stats()["slt_records_binned"],
-                    db.stats()["transactions_committed"],
-                    db.slt.pages_sealed,
-                )
-            )
-            db.close()
-        assert totals[0] == totals[1]
-
-    def test_env_gate_builds_relaxed_engine(self, monkeypatch):
-        from repro.engine import engine_from_env
-
-        monkeypatch.setenv("REPRO_ENGINE", "threaded")
-        monkeypatch.setenv("REPRO_ENGINE_RELAXED", "1")
-        engine = engine_from_env()
-        assert isinstance(engine, ThreadedEngine)
-        assert engine.relaxed_pump
-        engine.shutdown()
-        monkeypatch.setenv("REPRO_ENGINE_RELAXED", "")
-        engine = engine_from_env()
-        assert not engine.relaxed_pump
-        engine.shutdown()

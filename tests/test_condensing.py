@@ -215,7 +215,10 @@ class TestFlipCheckpoints:
 
 
 class TestDutyPlumbing:
-    def test_disabled_by_default(self):
+    def test_disabled_by_default(self, monkeypatch):
+        # The default is what is under test, so an environment that
+        # forces condensing on must not leak into this database.
+        monkeypatch.delenv("REPRO_CONDENSE", raising=False)
         db = Database(
             SystemConfig(log_page_size=512, update_count_threshold=10_000)
         )

@@ -1,5 +1,6 @@
 """Tests for the execution-engine layer (``repro.engine``)."""
 import threading
+import time
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.engine import (
     ThreadedEngine,
     engine_from_env,
 )
-from repro.engine.threaded import _RecoveryThread
+from repro.recovery.oracle import logical_digest
+from repro.txn.concurrent import ConcurrentScheduler
+from repro.wal.slb import WELL_KNOWN_RESERVE
 
 
 def small_config(**overrides):
@@ -47,7 +50,12 @@ class TestEngineSelection:
         engine = engine_from_env()
         assert isinstance(engine, ThreadedEngine)
         assert engine.workers == 3
-        engine.shutdown()
+
+    def test_env_rejects_non_integer_workers(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV_VAR, "threaded")
+        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV_VAR}.*'abc'"):
+            engine_from_env()
 
     def test_env_rejects_unknown_engine(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
@@ -105,13 +113,6 @@ class TestThreadedMatchesSim:
         db.restart()
         with db.transaction() as txn:
             assert db.table("items").lookup(txn, 150)["v"] == 1500
-        db.close()
-
-    def test_recovery_thread_runs_duties_off_caller_thread(self):
-        db = loaded_db(engine=ThreadedEngine(workers=2))
-        seen = []
-        db.engine._recovery.run_job(lambda: seen.append(threading.current_thread().name))
-        assert seen == ["repro-recovery-cpu"]
         db.close()
 
 
@@ -182,31 +183,25 @@ class TestRestoreMap:
 
     def test_threaded_pool_preserves_input_order(self):
         engine = ThreadedEngine(workers=4)
-        try:
-            items = list(range(50))
-            seen_threads = set()
-            gate = threading.Barrier(2, timeout=10)
+        items = list(range(50))
+        seen_threads = set()
+        gate = threading.Barrier(2, timeout=10)
 
-            def work(item):
-                seen_threads.add(threading.current_thread().name)
-                if item < 2:
-                    gate.wait()  # prove two workers run concurrently
-                return item * 2
+        def work(item):
+            seen_threads.add(threading.current_thread().name)
+            if item < 2:
+                gate.wait()  # prove two workers run concurrently
+            return item * 2
 
-            assert engine.restore_map(work, items) == [i * 2 for i in items]
-            assert len(seen_threads) > 1  # the pool actually fanned out
-        finally:
-            engine.shutdown()
+        assert engine.restore_map(work, items) == [i * 2 for i in items]
+        assert len(seen_threads) > 1  # the pool actually fanned out
 
     def test_single_worker_runs_on_caller(self):
         engine = ThreadedEngine(workers=1)
-        try:
-            caller = threading.current_thread().name
-            threads = []
-            engine.restore_map(lambda i: threads.append(threading.current_thread().name), [1, 2, 3])
-            assert threads == [caller] * 3
-        finally:
-            engine.shutdown()
+        caller = threading.current_thread().name
+        threads = []
+        engine.restore_map(lambda i: threads.append(threading.current_thread().name), [1, 2, 3])
+        assert threads == [caller] * 3
 
     def test_sim_engine_is_sequential_in_order(self):
         engine = SimEngine()
@@ -216,43 +211,17 @@ class TestRestoreMap:
 
     def test_first_error_propagates(self):
         engine = ThreadedEngine(workers=4)
-        try:
-            def work(item):
-                if item == 7:
-                    raise RuntimeError("injected fan-out failure")
-                return item
 
-            with pytest.raises(RuntimeError, match="injected fan-out failure"):
-                engine.restore_map(work, list(range(20)))
-        finally:
-            engine.shutdown()
+        def work(item):
+            if item == 7:
+                raise RuntimeError("injected fan-out failure")
+            return item
+
+        with pytest.raises(RuntimeError, match="injected fan-out failure"):
+            engine.restore_map(work, list(range(20)))
 
     def test_empty_items(self):
-        engine = ThreadedEngine(workers=4)
-        try:
-            assert engine.restore_map(lambda i: i, []) == []
-        finally:
-            engine.shutdown()
-
-
-class TestRecoveryThreadFerry:
-    def test_exception_reraised_on_submitter(self):
-        thread = _RecoveryThread("test-ferry")
-        try:
-            with pytest.raises(KeyError, match="ferried"):
-                thread.run_job(lambda: (_ for _ in ()).throw(KeyError("ferried")))
-            # The thread survives a failed job.
-            assert thread.run_job(lambda: 7) == 7
-        finally:
-            thread.stop()
-
-    def test_stop_is_idempotent_and_restartable(self):
-        thread = _RecoveryThread("test-stop")
-        assert thread.run_job(lambda: 1) == 1
-        thread.stop()
-        thread.stop()
-        assert thread.run_job(lambda: 2) == 2
-        thread.stop()
+        assert ThreadedEngine(workers=4).restore_map(lambda i: i, []) == []
 
 
 class TestLifecycle:
@@ -262,10 +231,71 @@ class TestLifecycle:
         db.close()
         db.close()
 
-    def test_shutdown_stops_recovery_thread(self):
-        db = loaded_db(engine=ThreadedEngine(workers=2))
-        db.pump()
-        worker = db.engine._recovery._thread
-        assert worker is not None and worker.is_alive()
+
+class TestRecoveryCpuLock:
+    """The recovery processor does one duty at a time, whichever thread
+    asks: pool workers stalled on SLB back-pressure drain the log
+    themselves, serialised by the engine's recovery-CPU lock."""
+
+    ACCOUNTS = 16
+
+    def run_deposits(self, engine):
+        config = SystemConfig(
+            slb_capacity=WELL_KNOWN_RESERVE + 8 * 1024,
+            log_block_size=512,
+            log_page_size=1024,
+        )
+        db = Database(config, engine=engine)
+        accounts = db.create_relation(
+            "accounts", [("id", "int"), ("balance", "int")], primary_key="id"
+        )
+        for i in range(self.ACCOUNTS):
+            with db.transaction() as txn:
+                accounts.insert(txn, {"id": i, "balance": 0})
+        processor = db.recovery_processor
+        real_drain = processor.run_until_drained
+        state_lock = threading.Lock()
+        state = {"active": 0, "overlaps": 0, "threads": set()}
+
+        def observed_drain():
+            with state_lock:
+                state["active"] += 1
+                if state["active"] > 1:
+                    state["overlaps"] += 1
+                state["threads"].add(threading.current_thread().name)
+            try:
+                # Widen the window a concurrent drain would have to hit.
+                time.sleep(0.001)
+                return real_drain()
+            finally:
+                with state_lock:
+                    state["active"] -= 1
+
+        processor.run_until_drained = observed_drain
+
+        def deposits(target):
+            def script(txn):
+                for amount in (1, 2, 3, 4):
+                    row = db.table("accounts").lookup(txn, target)
+                    yield
+                    accounts.update(txn, row.address, {"balance": row["balance"] + amount})
+                    yield
+
+            return script
+
+        scheduler = ConcurrentScheduler(db, workers=4)
+        for i in range(96):
+            scheduler.submit(deposits(i % self.ACCOUNTS), name=f"d{i}")
+        results = scheduler.run()
+        assert all(r.committed for r in results)
+        processor.run_until_drained = real_drain
+        digest = logical_digest(db)
         db.close()
-        assert not worker.is_alive()
+        return digest, state
+
+    def test_back_pressure_drains_never_overlap(self):
+        threaded_digest, state = self.run_deposits(ThreadedEngine(workers=4))
+        assert any(name.startswith("repro-txn-worker") for name in state["threads"])
+        assert state["overlaps"] == 0
+        sim_digest, _ = self.run_deposits(SimEngine())
+        assert threaded_digest == sim_digest
